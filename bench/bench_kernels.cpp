@@ -145,6 +145,22 @@ void BM_Quantize(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantize)->Arg(4)->Arg(8);
 
+void BM_QuantRoundTrip(benchmark::State& state) {
+    // The fused quantise→dequantise the exchange path runs, writing into a
+    // reused buffer: same input and bytes as BM_Quantize above.
+    Rng rng(6);
+    const tensor::Matrix m = tensor::Matrix::randn(2048, 64, rng);
+    const int bits = static_cast<int>(state.range(0));
+    tensor::Matrix out;
+    for (auto _ : state) {
+        tensor::quantize_roundtrip_into(m, bits, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * m.payload_bytes());
+}
+BENCHMARK(BM_QuantRoundTrip)->Arg(4)->Arg(8);
+
 void BM_SemanticFuse(benchmark::State& state) {
     // The Fig. 7(b) fuse+disassemble path vs per-edge transmission below.
     const auto& dbg = bench_dbg();

@@ -78,11 +78,12 @@ struct QuantConfig {
     int bits = 8;  ///< 4, 8 or 16
 };
 
-/// AdaQP-style per-tensor quantisation: every exchanged row block is packed
-/// to `bits`-bit codes on the sender and dequantised on the receiver, for
-/// both embeddings and gradients. The pack/unpack cost is real compute and
-/// shows up in the measured epoch time (the torch.quantize_per_tensor
-/// overhead §5.2 describes).
+/// AdaQP-style per-tensor quantisation of every exchanged row block, for
+/// both embeddings and gradients: the receiver gets the block rounded to
+/// `bits`-bit affine codes and dequantised. No payload is packed — the
+/// fused quantise→dequantise pass (tensor::quantize_roundtrip_into)
+/// computes the reconstruction directly, and the wire bytes are modelled
+/// as num_edges · f · bits/8 plus the scale and zero-point.
 class QuantCompressor final : public dist::BoundaryCompressor {
 public:
     explicit QuantCompressor(QuantConfig config = {});

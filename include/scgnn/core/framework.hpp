@@ -118,7 +118,16 @@ public:
         tensor::Matrix& grad_out) override;
 
 private:
+    /// Run `stage(s, in, out)` over every stage, in order or (adjoint) in
+    /// reverse, and compose the wire bytes.
+    template <class Stage>
+    std::uint64_t chain(bool adjoint, double vanilla_bytes,
+                        const tensor::Matrix& in, tensor::Matrix& out,
+                        Stage&& stage);
+
     std::vector<std::unique_ptr<dist::BoundaryCompressor>> stages_;
+    tensor::Workspace* ws_ = nullptr;  ///< nullable intermediate-row pool
+    std::vector<double> stage_bytes_;  ///< per-stage wire bytes of one call
 };
 
 /// End-to-end pipeline configuration.

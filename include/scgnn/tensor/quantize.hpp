@@ -6,6 +6,7 @@
 ///        dequantised on arrival. Mirrors torch.quantize_per_tensor
 ///        semantics (scale + zero-point, round-to-nearest).
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,34 @@ struct QuantizedTensor {
 
 /// Reconstruct the (lossy) matrix from a quantised tensor.
 [[nodiscard]] Matrix dequantize(const QuantizedTensor& q);
+
+/// Fused quantise→dequantise: writes exactly the bits of
+/// dequantize(quantize_per_tensor(in, bits)) into `out` (reshaped in place,
+/// so pooled storage is reused) without building the packed payload. This
+/// is what the exchange path needs — the receiver-side reconstruction —
+/// and it is allocation-free once `out` has the capacity. One SSE2 body
+/// where available (DESIGN.md §10: bitwise equal to the scalar path on
+/// every KernelPath), scalar otherwise. `out` may alias `in`.
+void quantize_roundtrip_into(const Matrix& in, int bits, Matrix& out);
+
+namespace detail {
+
+/// Round to nearest with ties away from zero: bitwise the value
+/// std::lround returns, for every float. Below 2^22 the fraction
+/// x − trunc(x) is exact, so comparing it with ±0.5 decides the tie
+/// exactly; larger magnitudes, infinities and NaN defer to std::lround.
+[[nodiscard]] inline long round_half_away(float x) noexcept {
+    if (!(std::fabs(x) < 0x1p22f)) return std::lround(x);
+    long i = static_cast<long>(x);
+    const float frac = x - static_cast<float>(i);
+    if (frac >= 0.5f)
+        ++i;
+    else if (frac <= -0.5f)
+        --i;
+    return i;
+}
+
+} // namespace detail
 
 /// Worst-case absolute reconstruction error of the given quantisation, i.e.
 /// half a quantisation step. Useful for test bounds.

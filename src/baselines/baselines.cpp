@@ -112,8 +112,9 @@ namespace {
 
 std::uint64_t quant_roundtrip(int bits, std::uint64_t edges, const Matrix& in,
                               Matrix& out) {
-    const tensor::QuantizedTensor q = tensor::quantize_per_tensor(in, bits);
-    out = tensor::dequantize(q);
+    // The receiver sees dequantize(quantize_per_tensor(in)); the fused
+    // round-trip writes exactly those bits into `out`'s own storage.
+    tensor::quantize_roundtrip_into(in, bits, out);
     // Per-edge wire model at the reduced width, plus the affine parameters.
     return edges * in.cols() * static_cast<std::uint64_t>(bits) / 8 +
            sizeof(float) + sizeof(std::int32_t);

@@ -1,6 +1,9 @@
 #include "scgnn/core/framework.hpp"
 
+#include <optional>
+
 #include "scgnn/dist/factory.hpp"
+#include "scgnn/tensor/workspace.hpp"
 
 namespace scgnn::core {
 
@@ -58,7 +61,7 @@ std::unique_ptr<dist::BoundaryCompressor> make_compressor(
 
 ComposedCompressor::ComposedCompressor(
     std::vector<std::unique_ptr<dist::BoundaryCompressor>> stages)
-    : stages_(std::move(stages)) {
+    : stages_(std::move(stages)), stage_bytes_(stages_.size(), 0.0) {
     SCGNN_CHECK(!stages_.empty(), "composition needs at least one stage");
     for (const auto& s : stages_)
         SCGNN_CHECK(s != nullptr, "null stage in composition");
@@ -79,6 +82,7 @@ void ComposedCompressor::begin_epoch(std::uint64_t epoch) {
 }
 
 void ComposedCompressor::set_workspace(tensor::Workspace* ws) {
+    ws_ = ws;
     for (auto& s : stages_) s->set_workspace(ws);
 }
 
@@ -92,6 +96,32 @@ std::uint64_t ComposedCompressor::state_bytes(std::uint32_t part) const {
     return bytes;
 }
 
+template <class Stage>
+std::uint64_t ComposedCompressor::chain(bool adjoint, double vanilla_bytes,
+                                        const tensor::Matrix& in,
+                                        tensor::Matrix& out, Stage&& stage) {
+    // Intermediates ping-pong between two pooled buffers (stages keep the
+    // row shape) and the last stage writes the caller's `out` in place.
+    const std::size_t n = stages_.size();
+    std::optional<tensor::Workspace::Lease> ping, pong;
+    if (n >= 2) ping.emplace(ws_, in.rows(), in.cols());
+    if (n >= 3) pong.emplace(ws_, in.rows(), in.cols());
+    const tensor::Matrix* cur = &in;
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = adjoint ? n - 1 - k : k;
+        tensor::Matrix& next =
+            k + 1 == n ? out : (k % 2 == 0 ? ping->get() : pong->get());
+        stage_bytes_[i] = static_cast<double>(stage(*stages_[i], *cur, next));
+        cur = &next;
+    }
+    // Stage 0 owns the wire representation (base volume); later stages
+    // contribute relative factors, in either direction.
+    double bytes = stage_bytes_[0];
+    for (std::size_t i = 1; i < n; ++i)
+        if (vanilla_bytes > 0.0) bytes *= stage_bytes_[i] / vanilla_bytes;
+    return static_cast<std::uint64_t>(bytes);
+}
+
 std::uint64_t ComposedCompressor::forward_rows(const dist::DistContext& ctx,
                                                std::size_t plan_idx, int layer,
                                                const tensor::Matrix& src,
@@ -99,20 +129,11 @@ std::uint64_t ComposedCompressor::forward_rows(const dist::DistContext& ctx,
     const dist::PairPlan& plan = ctx.plans()[plan_idx];
     const double vanilla_bytes = static_cast<double>(plan.num_edges()) *
                                  src.cols() * sizeof(float);
-    tensor::Matrix cur = src;
-    double bytes = 0.0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        tensor::Matrix next;
-        const auto stage_bytes = static_cast<double>(
-            stages_[i]->forward_rows(ctx, plan_idx, layer, cur, next));
-        if (i == 0)
-            bytes = stage_bytes;  // base volume
-        else if (vanilla_bytes > 0.0)
-            bytes *= stage_bytes / vanilla_bytes;  // relative factor
-        cur = std::move(next);
-    }
-    out = std::move(cur);
-    return static_cast<std::uint64_t>(bytes);
+    return chain(/*adjoint=*/false, vanilla_bytes, src, out,
+                 [&](dist::BoundaryCompressor& s, const tensor::Matrix& in,
+                     tensor::Matrix& o) {
+                     return s.forward_rows(ctx, plan_idx, layer, in, o);
+                 });
 }
 
 std::uint64_t ComposedCompressor::backward_rows(const dist::DistContext& ctx,
@@ -122,22 +143,12 @@ std::uint64_t ComposedCompressor::backward_rows(const dist::DistContext& ctx,
     const dist::PairPlan& plan = ctx.plans()[plan_idx];
     const double vanilla_bytes = static_cast<double>(plan.num_edges()) *
                                  grad_in.cols() * sizeof(float);
-    // Adjoint order: last forward stage first. Stage 0 owns the wire
-    // representation (base volume); later stages contribute relative
-    // factors, as in the forward direction.
-    tensor::Matrix cur = grad_in;
-    std::vector<double> per_stage(stages_.size(), 0.0);
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-        tensor::Matrix next;
-        per_stage[i] = static_cast<double>(
-            stages_[i]->backward_rows(ctx, plan_idx, layer, cur, next));
-        cur = std::move(next);
-    }
-    grad_out = std::move(cur);
-    double bytes = per_stage[0];
-    for (std::size_t i = 1; i < stages_.size(); ++i)
-        if (vanilla_bytes > 0.0) bytes *= per_stage[i] / vanilla_bytes;
-    return static_cast<std::uint64_t>(bytes);
+    // Adjoint order: last forward stage first.
+    return chain(/*adjoint=*/true, vanilla_bytes, grad_in, grad_out,
+                 [&](dist::BoundaryCompressor& s, const tensor::Matrix& in,
+                     tensor::Matrix& o) {
+                     return s.backward_rows(ctx, plan_idx, layer, in, o);
+                 });
 }
 
 std::uint64_t ComposedCompressor::forward_subset(
@@ -147,20 +158,11 @@ std::uint64_t ComposedCompressor::forward_subset(
     // Request-model vanilla volume: each requested row ships once.
     const double vanilla_bytes =
         static_cast<double>(rows.size()) * src.cols() * sizeof(float);
-    tensor::Matrix cur = src;
-    double bytes = 0.0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        tensor::Matrix next;
-        const auto stage_bytes = static_cast<double>(
-            stages_[i]->forward_subset(ctx, plan_idx, layer, rows, cur, next));
-        if (i == 0)
-            bytes = stage_bytes;
-        else if (vanilla_bytes > 0.0)
-            bytes *= stage_bytes / vanilla_bytes;
-        cur = std::move(next);
-    }
-    out = std::move(cur);
-    return static_cast<std::uint64_t>(bytes);
+    return chain(/*adjoint=*/false, vanilla_bytes, src, out,
+                 [&](dist::BoundaryCompressor& s, const tensor::Matrix& in,
+                     tensor::Matrix& o) {
+                     return s.forward_subset(ctx, plan_idx, layer, rows, in, o);
+                 });
 }
 
 std::uint64_t ComposedCompressor::backward_subset(
@@ -169,19 +171,12 @@ std::uint64_t ComposedCompressor::backward_subset(
     tensor::Matrix& grad_out) {
     const double vanilla_bytes =
         static_cast<double>(rows.size()) * grad_in.cols() * sizeof(float);
-    tensor::Matrix cur = grad_in;
-    std::vector<double> per_stage(stages_.size(), 0.0);
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-        tensor::Matrix next;
-        per_stage[i] = static_cast<double>(
-            stages_[i]->backward_subset(ctx, plan_idx, layer, rows, cur, next));
-        cur = std::move(next);
-    }
-    grad_out = std::move(cur);
-    double bytes = per_stage[0];
-    for (std::size_t i = 1; i < stages_.size(); ++i)
-        if (vanilla_bytes > 0.0) bytes *= per_stage[i] / vanilla_bytes;
-    return static_cast<std::uint64_t>(bytes);
+    return chain(/*adjoint=*/true, vanilla_bytes, grad_in, grad_out,
+                 [&](dist::BoundaryCompressor& s, const tensor::Matrix& in,
+                     tensor::Matrix& o) {
+                     return s.backward_subset(ctx, plan_idx, layer, rows, in,
+                                              o);
+                 });
 }
 
 // ----------------------------------------------------------------- Pipeline

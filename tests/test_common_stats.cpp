@@ -176,11 +176,11 @@ TEST(Histogram, QuantileClampedObservationsUseEdgeBins) {
 
 TEST(Histogram, QuantileRejectsBadInput) {
     Histogram empty(0.0, 1.0, 4);
-    EXPECT_THROW(empty.quantile(0.5), Error);
+    EXPECT_THROW((void)empty.quantile(0.5), Error);
     Histogram h(0.0, 1.0, 4);
     h.add(0.5);
-    EXPECT_THROW(h.quantile(-0.1), Error);
-    EXPECT_THROW(h.quantile(1.1), Error);
+    EXPECT_THROW((void)h.quantile(-0.1), Error);
+    EXPECT_THROW((void)h.quantile(1.1), Error);
 }
 
 TEST(Histogram, AsciiRendersOneLinePerBin) {

@@ -3,8 +3,8 @@
 // plus a fault-schedule run (drop=0.2, retry-max=3, one link-down window)
 // whose counters and degraded trajectory are pinned too, and an adaptive
 // error-feedback run whose per-epoch fidelity sequence is pinned alongside
-// its losses. Bitwise equality
-// is sound because the whole pipeline is deterministic at any thread
+// its losses, and the ef+ours+quant composed stack with its per-epoch
+// losses and modelled comm MB/ms. Bitwise equality is sound because the whole pipeline is deterministic at any thread
 // count (PR 1) and the fault schedule is counter-based per link.
 //
 // On mismatch the test prints the one-line regen command; run it after an
@@ -292,6 +292,44 @@ TEST(GoldenAdaptiveEf, ScheduledRunPinned) {
     o << "  \"mean_comm_ms\": " << g17(r.train.mean_comm_ms) << "\n";
     o << "}\n";
     check_golden("pubmed_ef_adaptive", o.str());
+}
+
+TEST(GoldenEfQuant, ComposedStackPinned) {
+    // The paper's cross-compatibility stack (§5.5): error feedback around
+    // semantic compression followed by 8-bit quantisation, pinned per
+    // epoch at %.17g. This is the one pin through QuantCompressor and
+    // ComposedCompressor, so any change to the quantise round-trip or the
+    // stage chaining that is not bitwise neutral shows here.
+    const graph::Dataset d =
+        graph::make_dataset(graph::DatasetPreset::kPubMedSim, kScale, kSeed);
+    PipelineConfig cfg = golden_cfg(d);
+    cfg.train.epochs = 8;
+    cfg.method.name = "ef+ours+quant";
+    const PipelineResult r = run_pipeline(d, cfg);
+
+    std::ostringstream o;
+    o << "{\n";
+    o << "  \"schema\": \"scgnn.golden/1\",\n";
+    o << "  \"preset\": \"pubmed\",\n";
+    o << "  \"config\": {\"scale\": " << g17(kScale)
+      << ", \"epochs\": 8, \"parts\": 4, \"groups\": 12"
+      << ", \"seed\": " << kSeed << ", \"hidden\": 32"
+      << ", \"method\": \"ef+ours+quant\", \"bits\": 8},\n";
+    const auto series = [&](const char* key, auto field) {
+        o << "  \"" << key << "\": [";
+        for (std::size_t e = 0; e < r.train.epoch_metrics.size(); ++e)
+            o << (e ? ", " : "") << g17(r.train.epoch_metrics[e].*field);
+        o << "],\n";
+    };
+    series("epoch_loss", &dist::EpochMetrics::loss);
+    series("epoch_comm_mb", &dist::EpochMetrics::comm_mb);
+    series("epoch_comm_ms", &dist::EpochMetrics::comm_ms);
+    o << "  \"final_loss\": " << g17(r.train.final_loss) << ",\n";
+    o << "  \"test_accuracy\": " << g17(r.train.test_accuracy) << ",\n";
+    o << "  \"mean_comm_mb\": " << g17(r.train.mean_comm_mb) << ",\n";
+    o << "  \"mean_comm_ms\": " << g17(r.train.mean_comm_ms) << "\n";
+    o << "}\n";
+    check_golden("pubmed_ef_quant", o.str());
 }
 
 TEST(GoldenFaultSchedule, BitwiseReproducibleAcrossThreadCounts) {

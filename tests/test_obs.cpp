@@ -164,7 +164,7 @@ TEST_F(ObsTest, HistogramMetricQuantileMatchesMergedHistogram) {
     EXPECT_LT(h.quantile(0.0), 1.0);   // head bin
     EXPECT_GT(h.quantile(1.0), 9.0);   // tail bin
     HistogramMetric empty(0.0, 1.0, 2);
-    EXPECT_THROW(empty.quantile(0.5), Error);
+    EXPECT_THROW((void)empty.quantile(0.5), Error);
 }
 
 TEST_F(ObsTest, RegistryCreatesOnFirstUseAndKeepsAddresses) {

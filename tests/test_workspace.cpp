@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/core/semantic_compressor.hpp"
+#include "scgnn/dist/factory.hpp"
 #include "scgnn/dist/trainer.hpp"
 #include "scgnn/gnn/adjacency.hpp"
 #include "scgnn/gnn/trainer.hpp"
@@ -221,7 +223,11 @@ TEST(SteadyState, SingleDeviceEpochIsAllocationFree) {
 /// allocates exactly as many times as a 4-epoch run, the extra epochs
 /// being allocation-free. Comparing whole runs cancels the setup-time
 /// allocations (partition contexts, k-means grouping, fabric state).
-TEST(SteadyState, DistributedEpochsBeyondWarmupAllocationFree) {
+/// Covers plain semantic compression, quantisation, the composed stack and
+/// its error-feedback wrap (the paper's cross-compatibility stack).
+class SteadyState : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SteadyState, DistributedEpochsBeyondWarmupAllocationFree) {
     ThreadCountGuard guard(1);
     const graph::Dataset d =
         graph::make_dataset(graph::DatasetPreset::kPubMedSim, 0.25, 9);
@@ -236,10 +242,11 @@ TEST(SteadyState, DistributedEpochsBeyondWarmupAllocationFree) {
         dist::DistTrainConfig cfg;
         cfg.epochs = epochs;
         cfg.record_epochs = false;
-        core::SemanticCompressor comp(core::SemanticCompressorConfig{});
+        const auto comp = dist::make_compressor(GetParam(), {});
         obs::reset_alloc_stats();
         obs::set_alloc_tracking(true);
-        const auto r = runtime::Scenario::for_training(cfg).train(d, parts, mc, comp);
+        const auto r =
+            runtime::Scenario::for_training(cfg).train(d, parts, mc, *comp);
         obs::set_alloc_tracking(false);
         EXPECT_TRUE(std::isfinite(r.final_loss));
         return obs::alloc_stats().count;
@@ -250,6 +257,16 @@ TEST(SteadyState, DistributedEpochsBeyondWarmupAllocationFree) {
     EXPECT_EQ(eight, four) << "epochs 5-8 allocated " << (eight - four)
                            << " times — steady state is not allocation-free";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Stacks, SteadyState,
+    ::testing::Values("ours", "quant", "ours+quant", "ef+ours+quant"),
+    [](const ::testing::TestParamInfo<const char*>& stack) {
+        std::string name = stack.param;
+        for (char& c : name)
+            if (c == '+') c = '_';
+        return name;
+    });
 
 } // namespace
 } // namespace scgnn
